@@ -65,6 +65,20 @@ echo "== chaos smoke (byte-identity under seeded faults + exact replay)"
 echo "== snap smoke (kill -9 restart resumes bit-identically)"
 ./scripts/snap_smoke.sh
 
+echo "== paper artifacts (results/*.txt byte-identical at -base 1200000)"
+# The behaviour contract: regenerating every report at the committed
+# scale reproduces the committed text byte for byte.
+artifacts="$(mktemp -d)"
+go run ./cmd/paperrepro -base 1200000 -json "" -out "$artifacts" >/dev/null
+for f in results/*.txt; do
+	case "$(basename "$f")" in bench_*) continue ;; esac
+	cmp "$f" "$artifacts/$(basename "$f")"
+done
+for f in "$artifacts"/*.txt; do
+	cmp "$f" "results/$(basename "$f")"
+done
+rm -rf "$artifacts"
+
 echo "== bench smoke (emits results/bench_*.json)"
 BENCH_JSON_DIR=results go test -run '^$' -bench 'BenchmarkHeadline|BenchmarkTable2' -benchtime 1x .
 go run ./cmd/obscheck -dir results

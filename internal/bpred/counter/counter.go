@@ -37,8 +37,14 @@ func NewArray(n int, bits int, init uint8) *Array {
 	if init > a.max {
 		panic(fmt.Sprintf("counter: init %d exceeds max %d", init, a.max))
 	}
-	for i := range a.table {
-		a.table[i] = init
+	// Fill by doubling the initialised prefix: a handful of memmoves
+	// instead of a byte loop, which profiling's 2^20-entry step-1
+	// tables would otherwise pay on every allocation.
+	if init != 0 {
+		a.table[0] = init
+		for filled := 1; filled < n; filled *= 2 {
+			copy(a.table[filled:], a.table[:filled])
+		}
 	}
 	return a
 }

@@ -63,6 +63,21 @@ func TestArrayInitAndSize(t *testing.T) {
 	}
 }
 
+// TestArrayInitEveryCounter covers the doubling fill at sizes that are
+// not powers of two, where the last copy is a partial one.
+func TestArrayInitEveryCounter(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 1000, 4097} {
+		for init := uint8(0); init <= 3; init++ {
+			a := NewArray(n, 2, init)
+			for i := 0; i < n; i++ {
+				if a.Value(i) != init {
+					t.Fatalf("n=%d init=%d: counter %d = %d", n, init, i, a.Value(i))
+				}
+			}
+		}
+	}
+}
+
 func TestArraySetSaturates(t *testing.T) {
 	a := NewArray(1, 3, 0)
 	a.Set(0, 200)

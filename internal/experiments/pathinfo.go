@@ -42,7 +42,12 @@ func (s *Suite) AblationPathInfo(ctx context.Context) (*Report, error) {
 			return err
 		}
 		depths, weight := rep.SufficientDepthHistogram()
-		res.Depths = depths
+		if i == 0 {
+			// Every benchmark is analysed with the same configuration,
+			// hence the same depths; one writer keeps the fan-out
+			// race-free.
+			res.Depths = depths
+		}
 		res.Weight[i] = weight
 		res.MeanAcc[i] = rep.MeanAccuracyAt()
 		return nil

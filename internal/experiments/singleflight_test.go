@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -73,6 +74,49 @@ func TestSingleflightStep1AndProfile(t *testing.T) {
 	records, step1, _ = s.ComputeCounts()
 	if records != 2 || step1 != 2 {
 		t.Errorf("after distinct keys: records = %d, step1 = %d, want 2/2", records, step1)
+	}
+}
+
+// TestSingleflightProfileSharesStep1: Step1 and Profile of one key share
+// a single step-1 sweep, whichever is asked for first. Besides the
+// suite's counter, the scored-branch total shows the work: a profile
+// that reuses the sweep scores its 7 step-2 passes and nothing else.
+func TestSingleflightProfileSharesStep1(t *testing.T) {
+	for _, order := range []string{"step1-first", "profile-first"} {
+		t.Run(order, func(t *testing.T) {
+			s := NewSuite(Config{BaseRecords: 4000})
+			var total int64
+			step1 := func() int64 {
+				before := obs.BranchTotal()
+				r, err := s.Step1("gcc", false, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total = r.Total
+				return obs.BranchTotal() - before
+			}
+			prof := func() int64 {
+				before := obs.BranchTotal()
+				if _, err := s.Profile("gcc", false, 10); err != nil {
+					t.Fatal(err)
+				}
+				return obs.BranchTotal() - before
+			}
+			if order == "step1-first" {
+				s1, p := step1(), prof()
+				if s1 != total || p != 7*total {
+					t.Errorf("scored branches: step1 %d, profile %d; want %d, %d", s1, p, total, 7*total)
+				}
+			} else {
+				p, s1 := prof(), step1()
+				if p != 8*total || s1 != 0 {
+					t.Errorf("scored branches: profile %d, step1 %d; want %d, 0", p, s1, 8*total)
+				}
+			}
+			if _, sweeps, profiles := s.ComputeCounts(); sweeps != 1 || profiles != 1 {
+				t.Errorf("step-1 sweeps = %d, profiles = %d, want 1/1", sweeps, profiles)
+			}
+		})
 	}
 }
 

@@ -130,7 +130,7 @@ type Suite struct {
 	mu        sync.Mutex
 	profBufs  map[string]*flight[[]trace.Record]
 	testBufs  map[string]*flight[[]trace.Record]
-	step1     map[cacheKey]*flight[profile.Step1Result]
+	sweeps    map[cacheKey]*flight[*profile.Sweep]
 	profiles  map[cacheKey]*flight[*profile.Profile]
 	benchmark map[string]*workload.Benchmark
 	// skipped maps benchmark name → why its trace could not be
@@ -159,7 +159,7 @@ func NewSuite(cfg Config) *Suite {
 		Cfg:       cfg,
 		profBufs:  map[string]*flight[[]trace.Record]{},
 		testBufs:  map[string]*flight[[]trace.Record]{},
-		step1:     map[cacheKey]*flight[profile.Step1Result]{},
+		sweeps:    map[cacheKey]*flight[*profile.Sweep]{},
 		profiles:  map[cacheKey]*flight[*profile.Profile]{},
 		benchmark: map[string]*workload.Benchmark{},
 		skipped:   map[string]string{},
@@ -304,52 +304,72 @@ func (s *Suite) records(name string, profileInput bool) ([]trace.Record, error) 
 			return nil, err
 		}
 		s.computedRecords.Add(1)
-		var src trace.Source
+		var (
+			base int
+			src  trace.Source
+		)
 		if profileInput {
-			src = b.ProfileSource(s.Cfg.profBase())
+			base = s.Cfg.profBase()
+			src = b.ProfileSource(base)
 		} else {
-			src = b.TestSource(s.Cfg.base())
+			base = s.Cfg.base()
+			src = b.TestSource(base)
 		}
-		return trace.Collect(src).Records, nil
+		// The suite holds these buffers for its whole life: size them
+		// to the trace instead of leaving append-doubling slack.
+		recs := make([]trace.Record, 0, b.Records(base))
+		var r trace.Record
+		for src.Next(&r) {
+			recs = append(recs, r)
+		}
+		return recs, nil
 	})
 }
 
-// Step1 returns the cached step-1 sweep (all 32 fixed lengths, private
-// tables) of one benchmark's profile input at index width k. Concurrent
-// callers for the same key share a single computation.
-func (s *Suite) Step1(name string, indirect bool, k uint) (profile.Step1Result, error) {
-	f := getFlight(&s.mu, s.step1, cacheKey{name, indirect, k})
-	return f.do(func() (profile.Step1Result, error) {
+// sweep returns the cached step-1 sweep (all 32 fixed lengths, private
+// tables) of one benchmark's profile input at index width k. Step1 and
+// Profile share it, so each key runs step 1 once.
+func (s *Suite) sweep(name string, indirect bool, k uint) (*profile.Sweep, error) {
+	f := getFlight(&s.mu, s.sweeps, cacheKey{name, indirect, k})
+	return f.do(func() (*profile.Sweep, error) {
 		src, err := s.ProfileSource(name)
 		if err != nil {
-			return profile.Step1Result{}, err
+			return nil, err
 		}
 		s.computedStep1.Add(1)
-		_, agg, err := profile.BestFixedLength(src, profile.Config{TableBits: k}, indirect)
-		return agg, err
+		return profile.Step1(src, profile.Config{TableBits: k}, indirect)
 	})
+}
+
+// Step1 returns the per-length aggregate of the cached step-1 sweep of
+// one benchmark's profile input at index width k. Concurrent callers for
+// the same key share a single computation.
+func (s *Suite) Step1(name string, indirect bool, k uint) (profile.Step1Result, error) {
+	sw, err := s.sweep(name, indirect, k)
+	if err != nil {
+		return profile.Step1Result{}, err
+	}
+	return sw.Step1Result, nil
 }
 
 // Profile returns the cached two-step profile of one benchmark at index
-// width k. Concurrent callers for the same key share a single
-// computation — a full two-step profiling pass is the most expensive
-// artifact the suite produces, so duplicate passes are the first thing
-// a parallel sweep would otherwise burn time on.
+// width k: step 2 run from the key's cached step-1 sweep. Concurrent
+// callers for the same key share a single computation — profiling is
+// the most expensive artifact the suite produces, so duplicate passes
+// are the first thing a parallel sweep would otherwise burn time on.
 func (s *Suite) Profile(name string, indirect bool, k uint) (*profile.Profile, error) {
 	f := getFlight(&s.mu, s.profiles, cacheKey{name, indirect, k})
 	return f.do(func() (*profile.Profile, error) {
+		sw, err := s.sweep(name, indirect, k)
+		if err != nil {
+			return nil, err
+		}
 		src, err := s.ProfileSource(name)
 		if err != nil {
 			return nil, err
 		}
 		s.computedProfiles.Add(1)
-		var p *profile.Profile
-		if indirect {
-			p, _, err = profile.Indirect(src, profile.Config{TableBits: k})
-		} else {
-			p, _, err = profile.Cond(src, profile.Config{TableBits: k})
-		}
-		return p, err
+		return profile.Step2(src, profile.Config{TableBits: k}, indirect, sw)
 	})
 }
 

@@ -2,11 +2,14 @@ package profile
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/bpred/counter"
+	"repro/internal/engine/pool"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vlp"
@@ -125,11 +128,36 @@ func refStep1Indirect(src trace.Source, k uint, n int, lengths []int) (map[arch.
 	return perPC, correct, total
 }
 
-// TestStep1FlatMatchesMapReference pins the interned flat-array step 1
-// (including its worker-pool sharding and column merge) to the map-based
-// reference, count for count, for both branch classes.
+// blockFixture returns a fixture long enough that both classes' scored
+// records span several step-1 hash blocks, so block boundaries fall
+// mid-trace for every kernel.
+func blockFixture(t *testing.T, seed uint64) *trace.Buffer {
+	t.Helper()
+	buf := profileFixture(seed, 10*blockRows+1000)
+	for _, indirect := range []bool{false, true} {
+		if _, _, scored := internPCs(buf.Records, indirect); scored < 2*blockRows {
+			t.Fatalf("fixture scores %d records (indirect=%v), want several blocks of %d", scored, indirect, blockRows)
+		}
+	}
+	return buf
+}
+
+// withPoolCaps runs fn under each worker-pool cap, so how the step-1
+// candidate jobs spread over workers (inline, two, three) cannot change
+// any count.
+func withPoolCaps(t *testing.T, fn func(t *testing.T)) {
+	defer pool.SetCap(0)
+	for _, c := range []int{1, 2, 3} {
+		pool.SetCap(c)
+		t.Run(fmt.Sprintf("cap%d", c), fn)
+	}
+}
+
+// TestStep1FlatMatchesMapReference pins the blocked step 1 (one shared
+// hash pass, candidate jobs on the worker pool, column merge) to the
+// map-based reference, count for count, for both branch classes.
 func TestStep1FlatMatchesMapReference(t *testing.T) {
-	buf := profileFixture(11, 6000)
+	buf := blockFixture(t, 11)
 	const k, n = 10, 32
 	lengths := Config{TableBits: k}.lengths()
 
@@ -142,28 +170,31 @@ func TestStep1FlatMatchesMapReference(t *testing.T) {
 		{"indirect", true, refStep1Indirect},
 	} {
 		wantPerPC, wantCorrect, wantTotal := class.ref(buf, k, n, lengths)
-
-		recIDs, pcs, scored := internPCs(buf.Records, class.indirect)
-		counts, correct, err := step1Flat(buf.Records, recIDs, len(pcs), class.indirect, k, n, lengths)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if scored != wantTotal {
-			t.Errorf("%s: scored %d branches, reference scored %d", class.name, scored, wantTotal)
-		}
-		if !reflect.DeepEqual(correct, wantCorrect) {
-			t.Errorf("%s: aggregate correct counts diverge:\n flat %v\n ref  %v", class.name, correct, wantCorrect)
-		}
-		if len(pcs) != len(wantPerPC) {
-			t.Fatalf("%s: interned %d PCs, reference saw %d", class.name, len(pcs), len(wantPerPC))
-		}
-		w := len(lengths)
-		for id, pc := range pcs {
-			if !reflect.DeepEqual(counts[id*w:(id+1)*w], wantPerPC[pc]) {
-				t.Errorf("%s: PC %v per-length counts diverge:\n flat %v\n ref  %v",
-					class.name, pc, counts[id*w:(id+1)*w], wantPerPC[pc])
-			}
-		}
+		t.Run(class.name, func(t *testing.T) {
+			withPoolCaps(t, func(t *testing.T) {
+				recIDs, pcs, scored := internPCs(buf.Records, class.indirect)
+				counts, correct, err := step1Counts(buf.Records, recIDs, len(pcs), class.indirect, k, n, lengths)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if scored != wantTotal {
+					t.Errorf("%s: scored %d branches, reference scored %d", class.name, scored, wantTotal)
+				}
+				if !reflect.DeepEqual(correct, wantCorrect) {
+					t.Errorf("%s: aggregate correct counts diverge:\n flat %v\n ref  %v", class.name, correct, wantCorrect)
+				}
+				if len(pcs) != len(wantPerPC) {
+					t.Fatalf("%s: interned %d PCs, reference saw %d", class.name, len(pcs), len(wantPerPC))
+				}
+				w := len(lengths)
+				for id, pc := range pcs {
+					if !reflect.DeepEqual(counts[id*w:(id+1)*w], wantPerPC[pc]) {
+						t.Errorf("%s: PC %v per-length counts diverge:\n flat %v\n ref  %v",
+							class.name, pc, counts[id*w:(id+1)*w], wantPerPC[pc])
+					}
+				}
+			})
+		})
 	}
 }
 
@@ -269,32 +300,14 @@ func refTwoStepIndirect(src trace.Source, cfg Config) (*Profile, error) {
 }
 
 // TestTwoStepMatchesReference is the end-to-end flat-array differential:
-// the production Cond/Indirect heuristics — interned ids, flat count
-// matrices, the devirtualised step-2 kernel — must emit exactly the
+// the production Cond/Indirect heuristics — interned ids, blocked step 1,
+// step 2 replayed from the candidate stream — must emit exactly the
 // Profile the reference implementation built from public predictors does.
 func TestTwoStepMatchesReference(t *testing.T) {
-	buf := profileFixture(23, 4000)
+	buf := blockFixture(t, 23)
 	cfg := Config{TableBits: 9}
 
-	got, agg, err := Cond(buf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := refTwoStepCond(buf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Default != want.Default {
-		t.Errorf("cond: Default = %d, reference %d", got.Default, want.Default)
-	}
-	if !reflect.DeepEqual(got.Lengths, want.Lengths) {
-		t.Errorf("cond: assignments diverge:\n flat %v\n ref  %v", got.Lengths, want.Lengths)
-	}
-	if agg.Total == 0 {
-		t.Error("cond: step-1 aggregate empty")
-	}
-
-	gi, _, err := Indirect(buf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,11 +315,77 @@ func TestTwoStepMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gi.Default != wi.Default {
-		t.Errorf("indirect: Default = %d, reference %d", gi.Default, wi.Default)
+	withPoolCaps(t, func(t *testing.T) {
+		got, agg, err := Cond(buf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Default != want.Default {
+			t.Errorf("cond: Default = %d, reference %d", got.Default, want.Default)
+		}
+		if !reflect.DeepEqual(got.Lengths, want.Lengths) {
+			t.Errorf("cond: assignments diverge:\n flat %v\n ref  %v", got.Lengths, want.Lengths)
+		}
+		if agg.Total == 0 {
+			t.Error("cond: step-1 aggregate empty")
+		}
+
+		gi, _, err := Indirect(buf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gi.Default != wi.Default {
+			t.Errorf("indirect: Default = %d, reference %d", gi.Default, wi.Default)
+		}
+		if !reflect.DeepEqual(gi.Lengths, wi.Lengths) {
+			t.Errorf("indirect: assignments diverge:\n flat %v\n ref  %v", gi.Lengths, wi.Lengths)
+		}
+	})
+}
+
+// TestStep2RejectsMismatchedSweep: a sweep measured for another class,
+// configuration or input must fail step 2 with a *MismatchError naming
+// the field, never produce a profile from the wrong candidates.
+func TestStep2RejectsMismatchedSweep(t *testing.T) {
+	buf := profileFixture(5, 3000)
+	other := profileFixture(6, 3500)
+	cfg := Config{TableBits: 9}
+	sw, err := Step1(buf, cfg, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gi.Lengths, wi.Lengths) {
-		t.Errorf("indirect: assignments diverge:\n flat %v\n ref  %v", gi.Lengths, wi.Lengths)
+	if _, err := Step2(buf, cfg, false, sw); err != nil {
+		t.Fatalf("matching sweep refused: %v", err)
+	}
+	for _, c := range []struct {
+		field    string
+		src      *trace.Buffer
+		cfg      Config
+		indirect bool
+	}{
+		{"class", buf, cfg, true},
+		{"table bits", buf, Config{TableBits: 10}, false},
+		{"lengths", buf, Config{TableBits: 9, Lengths: []int{1, 2, 4, 8, 16, 32}}, false},
+		{"candidates", buf, Config{TableBits: 9, Candidates: 2}, false},
+		{"scored", other, cfg, false},
+	} {
+		_, err := Step2(c.src, c.cfg, c.indirect, sw)
+		var mm *MismatchError
+		if !errors.As(err, &mm) {
+			t.Errorf("%s: err = %v, want *MismatchError", c.field, err)
+			continue
+		}
+		if mm.Field != c.field {
+			t.Errorf("mismatch field = %q, want %q (%v)", mm.Field, c.field, err)
+		}
+	}
+	// An input with a different static-branch population trips the
+	// branch count before anything else.
+	extra := trace.NewBuffer(append(append([]trace.Record(nil), buf.Records...),
+		trace.Record{PC: 0xbeef0, Kind: arch.Cond, Taken: true, Next: 0xbeef4}))
+	var mm *MismatchError
+	if _, err := Step2(extra, cfg, false, sw); !errors.As(err, &mm) || mm.Field != "branches" {
+		t.Errorf("extra branch: err = %v, want branches mismatch", err)
 	}
 }
 

@@ -19,6 +19,7 @@ package profile
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -165,6 +166,75 @@ func topCandidates(lengths []int, correct []int64, n int) []int {
 	return out
 }
 
+// Sweep is step 1's output for one profile input: the per-length
+// aggregate plus each profiled branch's ranked candidate lengths, which
+// is everything step 2 needs from step 1. It keeps no per-branch count
+// matrix, so a caller can cache one per (input, class, table size) and
+// hand it to Step2 later.
+type Sweep struct {
+	Step1Result
+	// indirect, tableBits and candidates record what the sweep was
+	// measured for; Step2 refuses a sweep measured for anything else.
+	indirect   bool
+	tableBits  uint
+	candidates int
+	// branches is the number of static branches of the class the input
+	// executes. Their dense ids (first-sight order) index cands.
+	branches int
+	// cands holds each branch's candidate lengths, best first, stride
+	// per branch.
+	cands  []int32
+	stride int
+}
+
+// candidatesOf returns the ranked candidate lengths of dense id.
+func (s *Sweep) candidatesOf(id int) []int32 {
+	return s.cands[id*s.stride : (id+1)*s.stride]
+}
+
+// MismatchError reports a step-1 sweep handed to Step2 that was measured
+// for another branch class, configuration or profile input than the one
+// step 2 runs on. Callers detect it with errors.As.
+type MismatchError struct {
+	Field string // "class", "table bits", "lengths", "candidates", "branches" or "scored"
+	Sweep string // the sweep's value
+	Want  string // step 2's value
+}
+
+func (e *MismatchError) Error() string {
+	return fmt.Sprintf("profile: step-1 sweep has %s %s, step 2 runs with %s", e.Field, e.Sweep, e.Want)
+}
+
+// check returns a *MismatchError naming the first field in which the
+// sweep differs from the step-2 run described by the arguments.
+func (s *Sweep) check(cfg Config, indirect bool, branches int, scored int64) error {
+	mismatch := func(field string, sweep, want any) error {
+		return &MismatchError{Field: field, Sweep: fmt.Sprint(sweep), Want: fmt.Sprint(want)}
+	}
+	switch {
+	case s.indirect != indirect:
+		return mismatch("class", kindOf(s.indirect), kindOf(indirect))
+	case s.tableBits != cfg.TableBits:
+		return mismatch("table bits", s.tableBits, cfg.TableBits)
+	case !slices.Equal(s.Lengths, cfg.lengths()):
+		return mismatch("lengths", s.Lengths, cfg.lengths())
+	case s.candidates != cfg.candidates():
+		return mismatch("candidates", s.candidates, cfg.candidates())
+	case s.branches != branches:
+		return mismatch("branches", s.branches, branches)
+	case s.Total != scored:
+		return mismatch("scored", s.Total, scored)
+	}
+	return nil
+}
+
+func kindOf(indirect bool) string {
+	if indirect {
+		return "indirect"
+	}
+	return "cond"
+}
+
 // Cond runs the full two-step heuristic for conditional branches on the
 // profile input and returns the per-branch assignment together with the
 // step-1 aggregate.
@@ -177,22 +247,44 @@ func Indirect(src trace.Source, cfg Config) (*Profile, Step1Result, error) {
 	return twoStep(src, cfg, true)
 }
 
+// twoStep runs both steps for Cond and Indirect.
+func twoStep(src trace.Source, cfg Config, indirect bool) (*Profile, Step1Result, error) {
+	sw, err := Step1(src, cfg, indirect)
+	if err != nil {
+		return nil, Step1Result{}, err
+	}
+	p, err := Step2(src, cfg, indirect, sw)
+	if err != nil {
+		return nil, Step1Result{}, err
+	}
+	return p, sw.Step1Result, nil
+}
+
 // --- Hot-path kernels -----------------------------------------------------
 //
-// Both steps replay the profile input many times (once per candidate hash
-// function in step 1, once per iteration in step 2), so the replay loops
-// are the pipeline's cost. Three structural choices keep them cheap:
+// Step 1 replays the profile input once per candidate hash function and
+// step 2 once per iteration, so the replay loops are the pipeline's
+// cost. The structural choices that keep them cheap:
 //
 //   - the input is materialised once into a record slice and every pass
 //     iterates it directly — no Source.Next interface call per record;
 //   - static branches are interned into dense ids up front (one map
 //     lookup per record, once), so every pass indexes flat arrays
 //     instead of touching a map per dynamic branch;
+//   - the path indexes I_1..I_N depend only on the THB targets and on k,
+//     never on table contents (§4.1), so each step hashes the input
+//     once: step 1 hashes scored records in fixed blocks that every
+//     candidate's predictor consumes, and step 2 replays all its
+//     iterations from a stream of each scored record's candidate-length
+//     indexes;
 //   - step 1's per-candidate predictors are independent by construction
-//     (private tables, private THB replay), so the candidate set is
-//     sharded across the engine's worker pool (engine/pool), each worker
-//     replaying
-//     the shared record slice against its private table subset.
+//     (private tables), so each block is replayed through them as
+//     separate jobs on the engine's worker pool (engine/pool).
+
+// blockRows is the number of scored records one hash block holds: with
+// 32 lanes of uint32 indexes per row, a block is 1 MB however long the
+// profile input is.
+const blockRows = 8192
 
 // asRecords exposes the record slice behind src, materialising non-buffer
 // sources once so every profiling pass can iterate the slice directly.
@@ -234,255 +326,319 @@ func internPCs(recs []trace.Record, indirect bool) (recIDs []int32, pcs []arch.A
 	return recIDs, pcs, scored
 }
 
-func maxLength(lengths []int) int {
+func maxLength[T int | int32](lengths []T) int {
 	max := 0
 	for _, l := range lengths {
-		if l > max {
-			max = l
+		if int(l) > max {
+			max = int(l)
 		}
 	}
 	return max
 }
 
-// step1CondKernel replays recs against one private FLP counter table per
-// candidate length in sub, accumulating per-(branch,length) correct counts
-// into a flat numPCs×len(sub) matrix. The worker's hash bank is bounded to
-// the deepest length it evaluates.
-func step1CondKernel(recs []trace.Record, recIDs []int32, numPCs int, k uint, n int, sub []int) (counts, correct []int64, err error) {
-	hs, err := vlp.NewHashSet(k, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	hs.SetMaxNeeded(maxLength(sub))
-	tables := make([]*counter.Array, len(sub))
-	for i := range tables {
-		tables[i] = counter.NewArray(1<<k, 2, 1)
-	}
-	w := len(sub)
-	counts = make([]int64, numPCs*w)
-	correct = make([]int64, w)
-	for j := range recs {
-		r := &recs[j]
-		if id := recIDs[j]; id >= 0 {
-			row := counts[int(id)*w : int(id)*w+w]
-			for i, l := range sub {
-				idx := int(hs.Index(l))
-				if tables[i].Taken(idx) == r.Taken {
-					row[i]++
-					correct[i]++
-				}
-				tables[i].Train(idx, r.Taken)
-			}
-		}
-		if r.Kind.RecordsInTHB() {
-			hs.Insert(r.Next)
-		}
-	}
-	return counts, correct, nil
+// hashBlock is one block of a shared hash pass over the profile input:
+// for each of up to blockRows consecutive scored records, its dense
+// branch id, its outcome (1 or 0 for a taken or not-taken conditional,
+// the low 32 target bits for an indirect branch), and its path indexes
+// I_1..I_stride, row-major.
+type hashBlock struct {
+	ids    []int32
+	vals   []uint32
+	lanes  []uint32
+	stride int
 }
 
-// step1IndirectKernel is step1CondKernel for the indirect class: private
-// target-register tables, last-target-match scoring.
-func step1IndirectKernel(recs []trace.Record, recIDs []int32, numPCs int, k uint, n int, sub []int) (counts, correct []int64, err error) {
-	hs, err := vlp.NewHashSet(k, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	hs.SetMaxNeeded(maxLength(sub))
-	tables := make([][]uint32, len(sub))
-	for i := range tables {
-		tables[i] = make([]uint32, 1<<k)
-	}
-	w := len(sub)
-	counts = make([]int64, numPCs*w)
-	correct = make([]int64, w)
-	for j := range recs {
-		r := &recs[j]
-		if id := recIDs[j]; id >= 0 {
-			row := counts[int(id)*w : int(id)*w+w]
-			target := uint32(r.Next)
-			for i, l := range sub {
-				idx := hs.Index(l)
-				if tables[i][idx] == target {
-					row[i]++
-					correct[i]++
-				}
-				tables[i][idx] = target
-			}
-		}
-		if r.Kind.RecordsInTHB() {
-			hs.Insert(r.Next)
-		}
-	}
-	return counts, correct, nil
+// hasher is one hash pass over the profile input: a single HashSet,
+// bounded to the deepest length any consumer reads, stepped once per
+// THB-eligible record. fill hands the scored records' indexes out a
+// block at a time, in trace order, so the pass holds one block however
+// long the trace is.
+type hasher struct {
+	recs     []trace.Record
+	recIDs   []int32
+	indirect bool
+	hs       *vlp.HashSet
+	pos      int // next record to replay
 }
 
-// step1Flat runs the step-1 sweep over all candidate lengths, sharding the
-// candidate set across a worker pool when the machine has one to offer.
-// The returned matrix is numPCs×len(lengths), row-major by dense id, with
-// columns in candidate order — bit-identical to a sequential sweep, since
-// each candidate's predictor is private either way.
-func step1Flat(recs []trace.Record, recIDs []int32, numPCs int, indirect bool, k uint, n int, lengths []int) (counts, correct []int64, err error) {
-	kernel := step1CondKernel
-	if indirect {
-		kernel = step1IndirectKernel
-	}
-	w := len(lengths)
-	workers := pool.Size(w)
-	if workers <= 1 {
-		return kernel(recs, recIDs, numPCs, k, n, lengths)
-	}
-	type shard struct {
-		off             int
-		sub             []int
-		counts, correct []int64
-	}
-	shards := make([]shard, 0, workers)
-	for i := 0; i < workers; i++ {
-		lo, hi := i*w/workers, (i+1)*w/workers
-		if lo < hi {
-			shards = append(shards, shard{off: lo, sub: lengths[lo:hi]})
-		}
-	}
-	if err := pool.ForEach(context.Background(), len(shards), func(i int) error {
-		s := &shards[i]
-		var err error
-		s.counts, s.correct, err = kernel(recs, recIDs, numPCs, k, n, s.sub)
-		return err
-	}); err != nil {
-		return nil, nil, err
-	}
-	counts = make([]int64, numPCs*w)
-	correct = make([]int64, w)
-	for _, s := range shards {
-		sw := len(s.sub)
-		copy(correct[s.off:s.off+sw], s.correct)
-		for id := 0; id < numPCs; id++ {
-			copy(counts[id*w+s.off:id*w+s.off+sw], s.counts[id*sw:(id+1)*sw])
-		}
-	}
-	return counts, correct, nil
-}
-
-// twoStep is the shared driver behind Cond and Indirect.
-func twoStep(src trace.Source, cfg Config, indirect bool) (*Profile, Step1Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, Step1Result{}, err
-	}
-	lengths := cfg.lengths()
-	k, n := cfg.TableBits, cfg.maxPath()
-	kind := "cond"
-	if indirect {
-		kind = "indirect"
-	}
-
-	recs := asRecords(src)
-	recIDs, pcs, scored := internPCs(recs, indirect)
-
-	// --- Step 1: one FLP predictor per candidate, private tables. ---
-	counts, correct, err := step1Flat(recs, recIDs, len(pcs), indirect, k, n, lengths)
-	if err != nil {
-		return nil, Step1Result{}, err
-	}
-	agg := Step1Result{
-		Lengths: append([]int(nil), lengths...),
-		Correct: correct,
-		Total:   scored,
-	}
-	obs.CountBranches(agg.Total)
-
-	w := len(lengths)
-	cands := make([][]int, len(pcs))
-	for id := range pcs {
-		cands[id] = topCandidates(lengths, counts[id*w:(id+1)*w], cfg.candidates())
-	}
-	def := agg.BestLength()
-
-	// --- Step 2: iterate the shared-table VLP simulation. ---
-	// The test input of each pass is the profile input itself, so every
-	// profiled branch executes in every pass: the candidate chosen for a
-	// branch always has its misprediction count written back (untested
-	// candidates keep their implicit zero, matching the paper's
-	// initialisation, so they are tried first in candidate rank order).
-	record := make([][]int64, len(pcs)) // per branch, per candidate: fewest misses seen
-	for id := range record {
-		record[id] = make([]int64, len(cands[id]))
-	}
-	chosen := make([]int, len(pcs))
-	assign := make([]int, len(pcs))
-	for iter := 0; iter < cfg.iterations(); iter++ {
-		for id := range cands {
-			ci := argmin(record[id])
-			chosen[id] = ci
-			assign[id] = cands[id][ci]
-		}
-		misses, err := simulateVLPFlat(recs, recIDs, assign, indirect, k, n)
-		if err != nil {
-			return nil, Step1Result{}, err
-		}
-		for id, ci := range chosen {
-			record[id][ci] = misses[id]
-		}
-	}
-	final := make(map[arch.Addr]int, len(pcs))
-	for id, pc := range pcs {
-		final[pc] = cands[id][argmin(record[id])]
-	}
-	return &Profile{Kind: kind, TableBits: k, Lengths: final, Default: def}, agg, nil
-}
-
-// simulateVLPFlat runs one shared-table VLP pass over the record slice and
-// returns per-branch misprediction counts indexed by dense id. It is the
-// devirtualised equivalent of replaying a vlp.Cond/Indirect built from a
-// PerBranch selector over assign: same table, same update order, but the
-// per-branch length comes from a flat array instead of a map lookup, and
-// the hash bank is bounded to the deepest assigned length.
-func simulateVLPFlat(recs []trace.Record, recIDs []int32, assign []int, indirect bool, k uint, n int) ([]int64, error) {
+func newHasher(recs []trace.Record, recIDs []int32, indirect bool, k uint, n, live int) (*hasher, error) {
 	hs, err := vlp.NewHashSet(k, n)
 	if err != nil {
 		return nil, err
 	}
-	hs.SetMaxNeeded(maxLength(assign))
-	misses := make([]int64, len(assign))
-	var scored int64
+	hs.SetMaxNeeded(live)
+	return &hasher{recs: recs, recIDs: recIDs, indirect: indirect, hs: hs}, nil
+}
+
+// newBlock returns an empty block sized for this pass.
+func (h *hasher) newBlock() *hashBlock {
+	stride := h.hs.MaxNeeded()
+	return &hashBlock{
+		ids:    make([]int32, 0, blockRows),
+		vals:   make([]uint32, 0, blockRows),
+		lanes:  make([]uint32, 0, blockRows*stride),
+		stride: stride,
+	}
+}
+
+// fill replaces b's rows with the next blockRows scored records (fewer
+// at the end of the trace) and reports whether it found any.
+func (h *hasher) fill(b *hashBlock) bool {
+	b.ids, b.vals, b.lanes = b.ids[:0], b.vals[:0], b.lanes[:0]
+	for ; h.pos < len(h.recs) && len(b.ids) < blockRows; h.pos++ {
+		r := &h.recs[h.pos]
+		if id := h.recIDs[h.pos]; id >= 0 {
+			v := uint32(r.Next)
+			if !h.indirect {
+				v = 0
+				if r.Taken {
+					v = 1
+				}
+			}
+			b.ids = append(b.ids, id)
+			b.vals = append(b.vals, v)
+			b.lanes = h.hs.AppendIndexes(b.lanes)
+		}
+		if r.Kind.RecordsInTHB() {
+			h.hs.Insert(r.Next)
+		}
+	}
+	return len(b.ids) > 0
+}
+
+// candidatePred is one candidate length's fixed length path predictor: a
+// private table, kept across hash blocks, and its correct counts per
+// dense branch id and in total.
+type candidatePred struct {
+	lane    int            // column of the length in a hash block
+	pht     *counter.Array // conditional table
+	regs    []uint32       // indirect target registers
+	counts  []int64
+	correct int64
+}
+
+func newCandidatePred(length, numPCs int, indirect bool, k uint) *candidatePred {
+	c := &candidatePred{lane: length - 1, counts: make([]int64, numPCs)}
+	if indirect {
+		c.regs = make([]uint32, 1<<k)
+	} else {
+		c.pht = counter.NewArray(1<<k, 2, 1)
+	}
+	return c
+}
+
+// consume replays one hash block through the predictor. Blocks arrive
+// in trace order, which is all a private table depends on.
+func (c *candidatePred) consume(b *hashBlock) {
+	var hits int64
+	if c.pht != nil {
+		for r, id := range b.ids {
+			idx := int(b.lanes[r*b.stride+c.lane])
+			taken := b.vals[r] != 0
+			if c.pht.Taken(idx) == taken {
+				c.counts[id]++
+				hits++
+			}
+			c.pht.Train(idx, taken)
+		}
+	} else {
+		for r, id := range b.ids {
+			idx := b.lanes[r*b.stride+c.lane]
+			if c.regs[idx] == b.vals[r] {
+				c.counts[id]++
+				hits++
+			}
+			c.regs[idx] = b.vals[r]
+		}
+	}
+	c.correct += hits
+}
+
+// step1Counts runs the step-1 sweep over all candidate lengths with one
+// hash pass: each block is replayed through every candidate's predictor,
+// one worker-pool job per candidate. The returned matrix is
+// numPCs×len(lengths), row-major by dense id, with columns in candidate
+// order — bit-identical to a sequential per-length sweep, since each
+// candidate's predictor is private either way.
+func step1Counts(recs []trace.Record, recIDs []int32, numPCs int, indirect bool, k uint, n int, lengths []int) (counts, correct []int64, err error) {
+	h, err := newHasher(recs, recIDs, indirect, k, n, maxLength(lengths))
+	if err != nil {
+		return nil, nil, err
+	}
+	preds := make([]*candidatePred, len(lengths))
+	for i, l := range lengths {
+		preds[i] = newCandidatePred(l, numPCs, indirect, k)
+	}
+	for b := h.newBlock(); h.fill(b); {
+		err := pool.ForEach(context.Background(), len(preds), func(i int) error {
+			preds[i].consume(b)
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	w := len(lengths)
+	counts = make([]int64, numPCs*w)
+	correct = make([]int64, w)
+	for i, c := range preds {
+		for id, n := range c.counts {
+			counts[id*w+i] = n
+		}
+		correct[i] = c.correct
+	}
+	return counts, correct, nil
+}
+
+// Step1 runs the heuristic's first step on the profile input: one fixed
+// length path predictor per candidate length, each with a private table.
+// The returned sweep holds the per-length aggregate and every branch's
+// top cfg.Candidates lengths, ready for Step2.
+func Step1(src trace.Source, cfg Config, indirect bool) (*Sweep, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	lengths := cfg.lengths()
+	recs := asRecords(src)
+	recIDs, pcs, scored := internPCs(recs, indirect)
+	counts, correct, err := step1Counts(recs, recIDs, len(pcs), indirect, cfg.TableBits, cfg.maxPath(), lengths)
+	if err != nil {
+		return nil, err
+	}
+	obs.CountBranches(scored)
+
+	w := len(lengths)
+	sw := &Sweep{
+		Step1Result: Step1Result{
+			Lengths: append([]int(nil), lengths...),
+			Correct: correct,
+			Total:   scored,
+		},
+		indirect:   indirect,
+		tableBits:  cfg.TableBits,
+		candidates: cfg.candidates(),
+		branches:   len(pcs),
+		stride:     min(cfg.candidates(), w),
+	}
+	sw.cands = make([]int32, 0, len(pcs)*sw.stride)
+	for id := range pcs {
+		for _, l := range topCandidates(lengths, counts[id*w:(id+1)*w], sw.stride) {
+			sw.cands = append(sw.cands, int32(l))
+		}
+	}
+	return sw, nil
+}
+
+// Step2 runs the heuristic's second step on the profile input, starting
+// from a step-1 sweep of that same input. The sweep must have been
+// measured for the same class, table size, candidate lengths and
+// candidate count; otherwise Step2 returns a *MismatchError.
+//
+// The test input of each pass is the profile input itself, so every
+// profiled branch executes in every pass: the candidate chosen for a
+// branch always has its misprediction count written back (untested
+// candidates keep their implicit zero, matching the paper's
+// initialisation, so they are tried first in candidate rank order).
+func Step2(src trace.Source, cfg Config, indirect bool, sw *Sweep) (*Profile, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	recs := asRecords(src)
+	recIDs, pcs, scored := internPCs(recs, indirect)
+	if err := sw.check(cfg, indirect, len(pcs), scored); err != nil {
+		return nil, err
+	}
+	k, c := cfg.TableBits, sw.stride
+	stream, err := candidateStream(recs, recIDs, indirect, k, cfg.maxPath(), sw, scored)
+	if err != nil {
+		return nil, err
+	}
+
+	record := make([]int64, len(pcs)*c) // per branch, per candidate: fewest misses seen
+	chosen := make([]int, len(pcs))
+	misses := make([]int64, len(pcs))
+	for iter := 0; iter < cfg.iterations(); iter++ {
+		for id := range chosen {
+			chosen[id] = argmin(record[id*c : (id+1)*c])
+		}
+		replayStream(recs, recIDs, stream, c, chosen, indirect, k, misses)
+		obs.CountBranches(scored)
+		for id, ci := range chosen {
+			record[id*c+ci] = misses[id]
+		}
+	}
+	final := make(map[arch.Addr]int, len(pcs))
+	for id, pc := range pcs {
+		final[pc] = int(sw.candidatesOf(id)[argmin(record[id*c:(id+1)*c])])
+	}
+	return &Profile{Kind: kindOf(indirect), TableBits: k, Lengths: final, Default: sw.BestLength()}, nil
+}
+
+// candidateStream hashes the input once and returns, for each scored
+// record in trace order, the table indexes of its branch's candidate
+// lengths: row r's candidate c sits at stream[r*stride+c]. That is every
+// index any step-2 assignment can ask for, so the iterations replay
+// without hashing.
+func candidateStream(recs []trace.Record, recIDs []int32, indirect bool, k uint, n int, sw *Sweep, scored int64) ([]uint32, error) {
+	h, err := newHasher(recs, recIDs, indirect, k, n, maxLength(sw.cands))
+	if err != nil {
+		return nil, err
+	}
+	stream := make([]uint32, 0, int(scored)*sw.stride)
+	for b := h.newBlock(); h.fill(b); {
+		for r, id := range b.ids {
+			lanes := b.lanes[r*b.stride : (r+1)*b.stride]
+			for _, l := range sw.candidatesOf(int(id)) {
+				stream = append(stream, lanes[l-1])
+			}
+		}
+	}
+	return stream, nil
+}
+
+// replayStream runs one shared-table VLP pass over the record slice and
+// writes per-branch misprediction counts, indexed by dense id, into
+// misses. It is the devirtualised equivalent of replaying a
+// vlp.Cond/Indirect built from a PerBranch selector that gives branch id
+// its candidate chosen[id]: same table, same update order, but each
+// index is gathered from the candidate stream instead of hashed.
+func replayStream(recs []trace.Record, recIDs []int32, stream []uint32, c int, chosen []int, indirect bool, k uint, misses []int64) {
+	clear(misses)
+	row := 0
 	if indirect {
 		table := make([]uint32, 1<<k)
 		for j := range recs {
-			r := &recs[j]
-			if id := recIDs[j]; id >= 0 {
-				scored++
-				idx := hs.Index(assign[id])
-				// The register holds the low 32 target bits (§3.1
-				// footnote) but the prediction it implies is a full
-				// address — mirror vlp.Indirect.Predict exactly.
-				if arch.Addr(table[idx]) != r.Next {
-					misses[id]++
-				}
-				table[idx] = uint32(r.Next)
+			id := recIDs[j]
+			if id < 0 {
+				continue
 			}
-			if r.Kind.RecordsInTHB() {
-				hs.Insert(r.Next)
+			idx := stream[row+chosen[id]]
+			row += c
+			// The register holds the low 32 target bits (§3.1
+			// footnote) but the prediction it implies is a full
+			// address — mirror vlp.Indirect.Predict exactly.
+			next := recs[j].Next
+			if arch.Addr(table[idx]) != next {
+				misses[id]++
 			}
+			table[idx] = uint32(next)
 		}
 	} else {
 		pht := counter.NewArray(1<<k, 2, 1)
 		for j := range recs {
-			r := &recs[j]
-			if id := recIDs[j]; id >= 0 {
-				scored++
-				idx := int(hs.Index(assign[id]))
-				if pht.Taken(idx) != r.Taken {
-					misses[id]++
-				}
-				pht.Train(idx, r.Taken)
+			id := recIDs[j]
+			if id < 0 {
+				continue
 			}
-			if r.Kind.RecordsInTHB() {
-				hs.Insert(r.Next)
+			idx := int(stream[row+chosen[id]])
+			row += c
+			taken := recs[j].Taken
+			if pht.Taken(idx) != taken {
+				misses[id]++
 			}
+			pht.Train(idx, taken)
 		}
 	}
-	obs.CountBranches(scored)
-	return misses, nil
 }
 
 // argmin returns the index of the smallest value (first on ties, which
@@ -504,42 +660,11 @@ func argmin(v []int64) int {
 // the per-benchmark "tuned" variant of §5.2.3). For multi-benchmark
 // averages, sum the returned Step1Results with MergeStep1.
 func BestFixedLength(src trace.Source, cfg Config, indirect bool) (int, Step1Result, error) {
-	var (
-		agg Step1Result
-		err error
-	)
-	if indirect {
-		_, agg, err = step1Only(src, cfg, true)
-	} else {
-		_, agg, err = step1Only(src, cfg, false)
-	}
+	sw, err := Step1(src, cfg, indirect)
 	if err != nil {
-		return 0, agg, err
+		return 0, Step1Result{}, err
 	}
-	return agg.BestLength(), agg, nil
-}
-
-// step1Only runs step 1 without retaining per-branch data. The full
-// heuristics above inline their own step-1 loops because they need the
-// per-branch counts; this variant serves the fixed-length tuning paths.
-func step1Only(src trace.Source, cfg Config, indirect bool) (map[arch.Addr][]int64, Step1Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, Step1Result{}, err
-	}
-	if indirect {
-		p, agg, err := Indirect(src, Config{
-			TableBits: cfg.TableBits, MaxPath: cfg.MaxPath, Lengths: cfg.Lengths,
-			Candidates: 1, Iterations: 1,
-		})
-		_ = p
-		return nil, agg, err
-	}
-	p, agg, err := Cond(src, Config{
-		TableBits: cfg.TableBits, MaxPath: cfg.MaxPath, Lengths: cfg.Lengths,
-		Candidates: 1, Iterations: 1,
-	})
-	_ = p
-	return nil, agg, err
+	return sw.BestLength(), sw.Step1Result, nil
 }
 
 // BestAverageLength returns the length minimising the *unweighted mean* of
