@@ -290,19 +290,32 @@ func BenchmarkHashSetDirect(b *testing.B) {
 }
 
 // BenchmarkProfilingPipeline measures the full two-step heuristic (§3.5)
-// on one benchmark's profile input.
+// on one benchmark's profile input (li, an interpreter with frequent
+// indirect dispatch): conditionals at two table sizes, whose step-1
+// tables differ 64-fold, and the indirect class.
 func BenchmarkProfilingPipeline(b *testing.B) {
 	bench, err := workload.ByName("li")
 	if err != nil {
 		b.Fatal(err)
 	}
 	buf := trace.Collect(bench.ProfileSource(benchScale))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := profile.Cond(trace.NewBuffer(buf.Records), profile.Config{TableBits: 14}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		run  func(trace.Source, profile.Config) (*profile.Profile, profile.Step1Result, error)
+		k    uint
+	}{
+		{"cond/k14", profile.Cond, 14},
+		{"cond/k20", profile.Cond, 20},
+		{"indirect/k11", profile.Indirect, 11},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := c.run(trace.NewBuffer(buf.Records), profile.Config{TableBits: c.k}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -47,6 +47,12 @@ go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 10s ./internal/snap
 echo "== cancellation + fault-tolerance + singleflight under race"
 go test -race -count=1 -run 'Cancel|Canceled|Fault|Resume|Timeout|PanicIsolation|Singleflight' ./internal/sim ./internal/experiments ./cmd/paperrepro
 
+echo "== profiling kernels vs references at one and two Ps"
+# Step 1's candidate-group jobs and the prefix-XOR pass must match the
+# map-based references, the HashSet registers and the pinned report
+# digests whether the pool runs its jobs on one P or on two.
+go test -count=1 -cpu 1,2 -run 'Reference|PrefixXOR|Golden' ./internal/profile ./internal/experiments
+
 echo "== service concurrency (hammer + drain) under race"
 go test -race -count=1 -run 'Hammer|Saturation|GracefulShutdown' ./internal/serve ./internal/loadgen
 

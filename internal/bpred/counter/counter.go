@@ -38,8 +38,8 @@ func NewArray(n int, bits int, init uint8) *Array {
 		panic(fmt.Sprintf("counter: init %d exceeds max %d", init, a.max))
 	}
 	// Fill by doubling the initialised prefix: a handful of memmoves
-	// instead of a byte loop, which profiling's 2^20-entry step-1
-	// tables would otherwise pay on every allocation.
+	// instead of a byte loop, which the largest predictor tables
+	// (2^18 counters and up) would otherwise pay on every allocation.
 	if init != 0 {
 		a.table[0] = init
 		for filled := 1; filled < n; filled *= 2 {

@@ -165,12 +165,6 @@ func (s *Span) End() RunMetrics {
 	return m
 }
 
-// AddBranches credits branches that were scored outside an
-// instrumented simulation loop (for example by a hand-rolled benchmark
-// kernel) so a surrounding span still sees them. It is CountBranches
-// under a name that reads better at such call sites.
-func AddBranches(n int64) { CountBranches(n) }
-
 // Env identifies the machine and toolchain a report was produced on,
 // so trajectory entries from different hosts are comparable.
 type Env struct {

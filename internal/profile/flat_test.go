@@ -129,22 +129,22 @@ func refStep1Indirect(src trace.Source, k uint, n int, lengths []int) (map[arch.
 }
 
 // blockFixture returns a fixture long enough that both classes' scored
-// records span several step-1 hash blocks, so block boundaries fall
-// mid-trace for every kernel.
+// records span several blocks of the prefix-XOR pass, so block
+// boundaries fall mid-trace for every kernel.
 func blockFixture(t *testing.T, seed uint64) *trace.Buffer {
 	t.Helper()
-	buf := profileFixture(seed, 10*blockRows+1000)
+	buf := profileFixture(seed, 10*blockTargets+1000)
 	for _, indirect := range []bool{false, true} {
-		if _, _, scored := internPCs(buf.Records, indirect); scored < 2*blockRows {
-			t.Fatalf("fixture scores %d records (indirect=%v), want several blocks of %d", scored, indirect, blockRows)
+		if _, _, scored := internPCs(buf.Records, indirect); scored < 2*blockTargets {
+			t.Fatalf("fixture scores %d records (indirect=%v), want several blocks of %d", scored, indirect, blockTargets)
 		}
 	}
 	return buf
 }
 
 // withPoolCaps runs fn under each worker-pool cap, so how the step-1
-// candidate jobs spread over workers (inline, two, three) cannot change
-// any count.
+// candidate-group jobs spread over workers (inline, two, three) cannot
+// change any count.
 func withPoolCaps(t *testing.T, fn func(t *testing.T)) {
 	defer pool.SetCap(0)
 	for _, c := range []int{1, 2, 3} {
@@ -153,14 +153,38 @@ func withPoolCaps(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// TestStep1FlatMatchesMapReference pins the blocked step 1 (one shared
-// hash pass, candidate jobs on the worker pool, column merge) to the
-// map-based reference, count for count, for both branch classes.
+// referenceConfig is one configuration the reference differentials run.
+type referenceConfig struct {
+	name string
+	cfg  Config
+}
+
+// referenceConfigs crosses three table sizes with four candidate sets:
+// all 32 lengths, the §3.1 subset (six lengths, which do not split into
+// equal candidate groups), a single length (fewer lengths than
+// candidates), and every length of a 12-deep THB.
+func referenceConfigs() []referenceConfig {
+	var out []referenceConfig
+	for _, k := range []uint{7, 10, 20} {
+		for _, c := range []referenceConfig{
+			{"all", Config{TableBits: k}},
+			{"subset", Config{TableBits: k, Lengths: []int{1, 2, 4, 8, 16, 32}}},
+			{"single", Config{TableBits: k, Lengths: []int{3}}},
+			{"maxpath12", Config{TableBits: k, MaxPath: 12}},
+		} {
+			out = append(out, referenceConfig{fmt.Sprintf("k%d/%s", k, c.name), c.cfg})
+		}
+	}
+	return out
+}
+
+// TestStep1FlatMatchesMapReference pins the blocked step 1 (one
+// prefix-XOR pass, candidate-group jobs on the worker pool, column
+// merge) to the map-based reference, count for count, for both branch
+// classes and every reference configuration.
 func TestStep1FlatMatchesMapReference(t *testing.T) {
 	buf := blockFixture(t, 11)
-	const k, n = 10, 32
-	lengths := Config{TableBits: k}.lengths()
-
+	configs := referenceConfigs()
 	for _, class := range []struct {
 		name     string
 		indirect bool
@@ -169,32 +193,137 @@ func TestStep1FlatMatchesMapReference(t *testing.T) {
 		{"cond", false, refStep1Cond},
 		{"indirect", true, refStep1Indirect},
 	} {
-		wantPerPC, wantCorrect, wantTotal := class.ref(buf, k, n, lengths)
+		type result struct {
+			perPC   map[arch.Addr][]int64
+			correct []int64
+			total   int64
+		}
+		want := make([]result, len(configs))
+		for i, rc := range configs {
+			w := &want[i]
+			w.perPC, w.correct, w.total = class.ref(buf, rc.cfg.TableBits, rc.cfg.maxPath(), rc.cfg.lengths())
+		}
 		t.Run(class.name, func(t *testing.T) {
 			withPoolCaps(t, func(t *testing.T) {
 				recIDs, pcs, scored := internPCs(buf.Records, class.indirect)
-				counts, correct, err := step1Counts(buf.Records, recIDs, len(pcs), class.indirect, k, n, lengths)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if scored != wantTotal {
-					t.Errorf("%s: scored %d branches, reference scored %d", class.name, scored, wantTotal)
-				}
-				if !reflect.DeepEqual(correct, wantCorrect) {
-					t.Errorf("%s: aggregate correct counts diverge:\n flat %v\n ref  %v", class.name, correct, wantCorrect)
-				}
-				if len(pcs) != len(wantPerPC) {
-					t.Fatalf("%s: interned %d PCs, reference saw %d", class.name, len(pcs), len(wantPerPC))
-				}
-				w := len(lengths)
-				for id, pc := range pcs {
-					if !reflect.DeepEqual(counts[id*w:(id+1)*w], wantPerPC[pc]) {
-						t.Errorf("%s: PC %v per-length counts diverge:\n flat %v\n ref  %v",
-							class.name, pc, counts[id*w:(id+1)*w], wantPerPC[pc])
+				for i, rc := range configs {
+					lengths := rc.cfg.lengths()
+					counts, correct, err := step1Counts(buf.Records, recIDs, len(pcs), class.indirect, rc.cfg.TableBits, lengths)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if scored != want[i].total {
+						t.Errorf("%s: scored %d branches, reference scored %d", rc.name, scored, want[i].total)
+					}
+					if !reflect.DeepEqual(correct, want[i].correct) {
+						t.Errorf("%s: aggregate correct counts diverge:\n flat %v\n ref  %v", rc.name, correct, want[i].correct)
+					}
+					if len(pcs) != len(want[i].perPC) {
+						t.Fatalf("%s: interned %d PCs, reference saw %d", rc.name, len(pcs), len(want[i].perPC))
+					}
+					w := len(lengths)
+					for id, pc := range pcs {
+						if !reflect.DeepEqual(counts[id*w:(id+1)*w], want[i].perPC[pc]) {
+							t.Errorf("%s: PC %v per-length counts diverge:\n flat %v\n ref  %v",
+								rc.name, pc, counts[id*w:(id+1)*w], want[i].perPC[pc])
+						}
 					}
 				}
 			})
 		})
+	}
+}
+
+// TestPrefixXORMatchesHashSet pins the identity the pass rests on: at
+// every scored record, rotl_k(P(n) ^ P(max(n-L, 0)), n mod k) read from
+// the record's block equals the partial-sum register I_L of a HashSet
+// fed the same targets, and the §3.3 XOR tree (DirectIndex), for every L
+// in 1..32 — including records with fewer than L targets behind them,
+// k = 1 (every rotation is 0) and k = 32 (the doubled value's high
+// word). The input spans several blocks, and its middle stretch has no
+// indirect branch for two blocks, so the indirect class passes a whole
+// block over and must carry P across it.
+func TestPrefixXORMatchesHashSet(t *testing.T) {
+	rng := xrand.New(3)
+	var recs []trace.Record
+	mixed := func(n int) {
+		for i := 0; i < n; i++ {
+			next := arch.Addr(rng.Uint64())
+			switch rng.Uint64() % 8 {
+			case 0:
+				recs = append(recs, trace.Record{PC: 0x4010, Kind: arch.Indirect, Taken: true, Next: next})
+			case 1:
+				recs = append(recs, trace.Record{PC: 0x9004, Kind: arch.Call, Taken: true, Next: next})
+			default:
+				recs = append(recs, trace.Record{PC: arch.Addr(0x1000 + rng.Uint64()%8*4), Kind: arch.Cond, Taken: rng.Bool(0.5), Next: next})
+			}
+		}
+	}
+	mixed(3000)
+	for i := 0; i < 2*blockTargets+500; i++ {
+		recs = append(recs, trace.Record{PC: 0x2008, Kind: arch.Cond, Taken: true, Next: arch.Addr(rng.Uint64())})
+	}
+	mixed(3000)
+
+	for _, k := range []uint{1, 2, 7, 12, 20, 31, 32} {
+		for _, indirect := range []bool{false, true} {
+			recIDs, _, scored := internPCs(recs, indirect)
+			hs, err := vlp.NewHashSet(k, vlp.DefaultMaxPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mask := uint32(1<<k - 1)
+			h := newPathPass(recs, recIDs, indirect, k, vlp.DefaultMaxPath)
+			var rows int64
+			j := 0 // next record to insert into hs
+			for b := h.newBlock(); h.fill(b); {
+				for _, r := range b.rows {
+					for ; recIDs[j] < 0; j++ {
+						if recs[j].Kind.RecordsInTHB() {
+							hs.Insert(recs[j].Next)
+						}
+					}
+					pn := b.seg[r.pos]
+					for l := 1; l <= vlp.DefaultMaxPath; l++ {
+						got := pathIndex(pn, b.seg[int(r.pos)-l], r.shift, mask)
+						if want := hs.Index(l); got != want {
+							t.Fatalf("k=%d indirect=%v row %d L=%d: prefix-XOR index %#x, HashSet.Index %#x", k, indirect, rows, l, got, want)
+						}
+						if want := hs.DirectIndex(l); got != want {
+							t.Fatalf("k=%d indirect=%v row %d L=%d: prefix-XOR index %#x, DirectIndex %#x", k, indirect, rows, l, got, want)
+						}
+					}
+					hs.Insert(recs[j].Next) // every scored record is a THB target
+					j++
+					rows++
+				}
+			}
+			if rows != scored {
+				t.Errorf("k=%d indirect=%v: pass yielded %d rows, class scores %d", k, indirect, rows, scored)
+			}
+		}
+	}
+}
+
+// TestCondNextMatchesCounter: the step kernels' counter encoding (e =
+// s^1, prediction e>>1, transition condNext) must track a 2-bit
+// counter.Array state for state; stored zero is the initial value 1.
+func TestCondNextMatchesCounter(t *testing.T) {
+	for s := uint8(0); s < 4; s++ {
+		for _, taken := range []bool{false, true} {
+			a := counter.NewArray(1, 2, s)
+			e, tb := s^1, uint8(0)
+			if taken {
+				tb = 1
+			}
+			if (e>>1 == 1) != a.Taken(0) {
+				t.Errorf("s=%d: encoded prediction %d, counter predicts taken=%v", s, e>>1, a.Taken(0))
+			}
+			a.Train(0, taken)
+			if got, want := condNext[e<<1|tb], a.Value(0)^1; got != want {
+				t.Errorf("s=%d taken=%v: condNext gives %d, counter moves to %d (stored %d)", s, taken, got, a.Value(0), want)
+			}
+		}
 	}
 }
 
@@ -302,43 +431,48 @@ func refTwoStepIndirect(src trace.Source, cfg Config) (*Profile, error) {
 // TestTwoStepMatchesReference is the end-to-end flat-array differential:
 // the production Cond/Indirect heuristics — interned ids, blocked step 1,
 // step 2 replayed from the candidate stream — must emit exactly the
-// Profile the reference implementation built from public predictors does.
+// Profile the reference implementation built from public predictors
+// does, for every reference configuration.
 func TestTwoStepMatchesReference(t *testing.T) {
 	buf := blockFixture(t, 23)
-	cfg := Config{TableBits: 9}
-
-	want, err := refTwoStepCond(buf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wi, err := refTwoStepIndirect(buf, cfg)
-	if err != nil {
-		t.Fatal(err)
+	configs := referenceConfigs()
+	want := make([]*Profile, len(configs))
+	wi := make([]*Profile, len(configs))
+	for i, rc := range configs {
+		var err error
+		if want[i], err = refTwoStepCond(buf, rc.cfg); err != nil {
+			t.Fatal(err)
+		}
+		if wi[i], err = refTwoStepIndirect(buf, rc.cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	withPoolCaps(t, func(t *testing.T) {
-		got, agg, err := Cond(buf, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Default != want.Default {
-			t.Errorf("cond: Default = %d, reference %d", got.Default, want.Default)
-		}
-		if !reflect.DeepEqual(got.Lengths, want.Lengths) {
-			t.Errorf("cond: assignments diverge:\n flat %v\n ref  %v", got.Lengths, want.Lengths)
-		}
-		if agg.Total == 0 {
-			t.Error("cond: step-1 aggregate empty")
-		}
+		for i, rc := range configs {
+			got, agg, err := Cond(buf, rc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Default != want[i].Default {
+				t.Errorf("%s cond: Default = %d, reference %d", rc.name, got.Default, want[i].Default)
+			}
+			if !reflect.DeepEqual(got.Lengths, want[i].Lengths) {
+				t.Errorf("%s cond: assignments diverge:\n flat %v\n ref  %v", rc.name, got.Lengths, want[i].Lengths)
+			}
+			if agg.Total == 0 {
+				t.Errorf("%s cond: step-1 aggregate empty", rc.name)
+			}
 
-		gi, _, err := Indirect(buf, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gi.Default != wi.Default {
-			t.Errorf("indirect: Default = %d, reference %d", gi.Default, wi.Default)
-		}
-		if !reflect.DeepEqual(gi.Lengths, wi.Lengths) {
-			t.Errorf("indirect: assignments diverge:\n flat %v\n ref  %v", gi.Lengths, wi.Lengths)
+			gi, _, err := Indirect(buf, rc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gi.Default != wi[i].Default {
+				t.Errorf("%s indirect: Default = %d, reference %d", rc.name, gi.Default, wi[i].Default)
+			}
+			if !reflect.DeepEqual(gi.Lengths, wi[i].Lengths) {
+				t.Errorf("%s indirect: assignments diverge:\n flat %v\n ref  %v", rc.name, gi.Lengths, wi[i].Lengths)
+			}
 		}
 	})
 }

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/bpred"
-	"repro/internal/bpred/counter"
 	"repro/internal/engine/pool"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -271,20 +270,43 @@ func twoStep(src trace.Source, cfg Config, indirect bool) (*Profile, Step1Result
 //   - static branches are interned into dense ids up front (one map
 //     lookup per record, once), so every pass indexes flat arrays
 //     instead of touching a map per dynamic branch;
-//   - the path indexes I_1..I_N depend only on the THB targets and on k,
-//     never on table contents (§4.1), so each step hashes the input
-//     once: step 1 hashes scored records in fixed blocks that every
-//     candidate's predictor consumes, and step 2 replays all its
-//     iterations from a stream of each scored record's candidate-length
-//     indexes;
+//   - every path index is O(1) from one running value per THB target.
+//     With t_i the i-th THB target compressed to k bits, n the number
+//     of targets inserted so far, and rotl_k/rotr_k rotations within k
+//     bits, let
+//
+//         P(0) = 0,  P(i) = P(i-1) ^ rotr_k(t_i, i mod k).
+//
+//     Then the §3.3 index of every length L is
+//
+//         I_L = rotl_k(P(n) ^ P(max(n-L, 0)), n mod k):
+//
+//     the XOR telescopes to the XOR over j < L of rotr_k(t_{n-j}, n-j),
+//     and the outer rotation turns each term into rotl_k(t_{n-j}, j),
+//     the §3.3 definition; with n < L the missing terms are the
+//     zero-initialised registers. So the pass (pathPass) costs one
+//     rotate and one XOR per target, a reader of any length pays two
+//     loads, an XOR and a rotate, and no 32-register bank is stepped
+//     anywhere in profiling;
 //   - step 1's per-candidate predictors are independent by construction
-//     (private tables), so each block is replayed through them as
-//     separate jobs on the engine's worker pool (engine/pool).
+//     (private tables), so each block of the pass is replayed through
+//     them as jobs on the engine's worker pool (engine/pool). A job is a
+//     group of candidates that computes its own indexes from the block,
+//     so the hashing runs in the parallel part, and its counter update
+//     has no branches;
+//   - step 2 turns the same pass into a stream of every scored record's
+//     candidate-length indexes once, and all its iterations replay the
+//     stream.
 
-// blockRows is the number of scored records one hash block holds: with
-// 32 lanes of uint32 indexes per row, a block is 1 MB however long the
-// profile input is.
-const blockRows = 8192
+// blockTargets is the number of THB targets one block of the pass
+// covers. Every scored record is a THB target too, so a block also holds
+// at most this many rows: 16 B a row and 8 B a target, about 192 KB
+// however long the profile input is.
+const blockTargets = 8192
+
+// groupSize is the number of candidate lengths one step-1 pool job
+// replays, reading each row of a block once for all of them.
+const groupSize = 4
 
 // asRecords exposes the record slice behind src, materialising non-buffer
 // sources once so every profiling pass can iterate the slice directly.
@@ -336,142 +358,199 @@ func maxLength[T int | int32](lengths []T) int {
 	return max
 }
 
-// hashBlock is one block of a shared hash pass over the profile input:
-// for each of up to blockRows consecutive scored records, its dense
-// branch id, its outcome (1 or 0 for a taken or not-taken conditional,
-// the low 32 target bits for an indirect branch), and its path indexes
-// I_1..I_stride, row-major.
-type hashBlock struct {
-	ids    []int32
-	vals   []uint32
-	lanes  []uint32
-	stride int
+// double returns the k-bit value x as x | x<<k. Shifting that right by
+// r and masking to k bits rotates x right by r, or left by k-r
+// (0 <= r <= k), and doubling commutes with XOR, so the pass stores P
+// doubled and a reader's rotation is one shift. Masking the shift
+// counts lets the compiler drop its oversize-shift fixup.
+func double(x uint32, k uint) uint64 {
+	return uint64(x) | uint64(x)<<(k&63)
 }
 
-// hasher is one hash pass over the profile input: a single HashSet,
-// bounded to the deepest length any consumer reads, stepped once per
-// THB-eligible record. fill hands the scored records' indexes out a
-// block at a time, in trace order, so the pass holds one block however
-// long the trace is.
-type hasher struct {
+// pathIndex returns I_L from a row's doubled P(n) and P(n-L) and its
+// shift, k - n mod k: rotl_k(P(n) ^ P(n-L), n mod k).
+func pathIndex(dn, dl uint64, shift uint32, mask uint32) uint32 {
+	return uint32((dn^dl)>>(shift&63)) & mask
+}
+
+// pathRow is one scored record of a block: its dense branch id, its
+// outcome (1 or 0 for a taken or not-taken conditional, the low 32
+// target bits for an indirect branch), the position of its P(n) in the
+// block's segment, and its pathIndex shift.
+type pathRow struct {
+	id    int32
+	val   uint32
+	pos   uint32
+	shift uint32
+}
+
+// pathBlock is one block of the prefix-XOR pass: the doubled P values
+// of up to blockTargets consecutive THB targets, preceded by the
+// carry+1 values before them, and the scored records among those
+// targets.
+type pathBlock struct {
+	rows []pathRow
+	seg  []uint64
+}
+
+// pathPass is the prefix-XOR pass over the profile input. It steps P
+// once per THB-eligible record and hands the scored records out a block
+// at a time, in trace order, so the pass holds one block however long
+// the trace is.
+type pathPass struct {
 	recs     []trace.Record
 	recIDs   []int32
 	indirect bool
-	hs       *vlp.HashSet
-	pos      int // next record to replay
+	k        uint
+	mask     uint32
+	carry    int    // deepest length any reader asks for
+	pos      int    // next record to replay
+	p        uint32 // P(n)
+	phase    uint   // n mod k
 }
 
-func newHasher(recs []trace.Record, recIDs []int32, indirect bool, k uint, n, live int) (*hasher, error) {
-	hs, err := vlp.NewHashSet(k, n)
-	if err != nil {
-		return nil, err
-	}
-	hs.SetMaxNeeded(live)
-	return &hasher{recs: recs, recIDs: recIDs, indirect: indirect, hs: hs}, nil
+func newPathPass(recs []trace.Record, recIDs []int32, indirect bool, k uint, carry int) *pathPass {
+	return &pathPass{recs: recs, recIDs: recIDs, indirect: indirect, k: k, mask: uint32(1<<k - 1), carry: carry}
 }
 
-// newBlock returns an empty block sized for this pass.
-func (h *hasher) newBlock() *hashBlock {
-	stride := h.hs.MaxNeeded()
-	return &hashBlock{
-		ids:    make([]int32, 0, blockRows),
-		vals:   make([]uint32, 0, blockRows),
-		lanes:  make([]uint32, 0, blockRows*stride),
-		stride: stride,
+// newBlock returns an empty block sized for this pass. Its segment
+// starts as carry+1 zeros: P is 0 at and before the first target, which
+// is how a row with fewer than L targets behind it reads P(max(n-L, 0)).
+func (h *pathPass) newBlock() *pathBlock {
+	return &pathBlock{
+		rows: make([]pathRow, 0, blockTargets),
+		seg:  make([]uint64, h.carry+1, h.carry+1+blockTargets),
 	}
 }
 
-// fill replaces b's rows with the next blockRows scored records (fewer
-// at the end of the trace) and reports whether it found any.
-func (h *hasher) fill(b *hashBlock) bool {
-	b.ids, b.vals, b.lanes = b.ids[:0], b.vals[:0], b.lanes[:0]
-	for ; h.pos < len(h.recs) && len(b.ids) < blockRows; h.pos++ {
-		r := &h.recs[h.pos]
-		if id := h.recIDs[h.pos]; id >= 0 {
-			v := uint32(r.Next)
-			if !h.indirect {
-				v = 0
-				if r.Taken {
-					v = 1
+// fill replaces b's rows with the scored records among the next
+// blockTargets THB targets, carrying the last carry+1 P values to the
+// front of the segment, and reports whether it found any. A stretch of
+// targets without a scored record is passed over.
+func (h *pathPass) fill(b *pathBlock) bool {
+	b.rows = b.rows[:0]
+	for len(b.rows) == 0 && h.pos < len(h.recs) {
+		b.seg = b.seg[:copy(b.seg, b.seg[len(b.seg)-h.carry-1:])]
+		for ; h.pos < len(h.recs) && len(b.seg) < cap(b.seg); h.pos++ {
+			r := &h.recs[h.pos]
+			if id := h.recIDs[h.pos]; id >= 0 {
+				v := uint32(r.Next)
+				if !h.indirect {
+					v = 0
+					if r.Taken {
+						v = 1
+					}
 				}
+				b.rows = append(b.rows, pathRow{id: id, val: v, pos: uint32(len(b.seg) - 1), shift: uint32(h.k - h.phase)})
 			}
-			b.ids = append(b.ids, id)
-			b.vals = append(b.vals, v)
-			b.lanes = h.hs.AppendIndexes(b.lanes)
-		}
-		if r.Kind.RecordsInTHB() {
-			h.hs.Insert(r.Next)
+			if r.Kind.RecordsInTHB() {
+				// Compressed as vlp.HashSet does: drop the two
+				// always-zero PC bits, then the high-order bits.
+				t := uint32(uint64(r.Next)>>2) & h.mask
+				if h.phase++; h.phase == h.k {
+					h.phase = 0
+				}
+				h.p ^= uint32(double(t, h.k)>>(h.phase&63)) & h.mask
+				b.seg = append(b.seg, double(h.p, h.k))
+			}
 		}
 	}
-	return len(b.ids) > 0
+	return len(b.rows) > 0
 }
 
-// candidatePred is one candidate length's fixed length path predictor: a
-// private table, kept across hash blocks, and its correct counts per
-// dense branch id and in total.
-type candidatePred struct {
-	lane    int            // column of the length in a hash block
-	pht     *counter.Array // conditional table
-	regs    []uint32       // indirect target registers
+// condNext is the 2-bit saturating counter's transition, indexed by
+// e<<1 | taken, for a counter stored as e = s^1 (s its value 0..3):
+// stored zero is the initial value 1 (weakly not-taken), so a table
+// straight from make needs no fill, and the prediction is e>>1, since
+// s >= 2 exactly when e >= 2.
+var condNext = [8]uint8{
+	0<<1 | 0: 1, // s 1 -> 0
+	0<<1 | 1: 3, // s 1 -> 2
+	1<<1 | 0: 1, // s 0 -> 0
+	1<<1 | 1: 0, // s 0 -> 1
+	2<<1 | 0: 3, // s 3 -> 2
+	2<<1 | 1: 2, // s 3 -> 3
+	3<<1 | 0: 0, // s 2 -> 1
+	3<<1 | 1: 2, // s 2 -> 3
+}
+
+// candidateGroup is the fixed length path predictors of up to groupSize
+// candidate lengths: a private table each, kept across blocks, and
+// their correct counts per dense branch id, counts[id*len(lengths)+j].
+// The tables stay separate allocations: one table of len(lengths)<<k
+// entries was as fast but raised the suite's peak RSS by about 10%.
+type candidateGroup struct {
+	lengths []int
+	pht     [][]uint8  // conditional counters, stored as in condNext
+	regs    [][]uint32 // indirect target registers
 	counts  []int64
-	correct int64
 }
 
-func newCandidatePred(length, numPCs int, indirect bool, k uint) *candidatePred {
-	c := &candidatePred{lane: length - 1, counts: make([]int64, numPCs)}
-	if indirect {
-		c.regs = make([]uint32, 1<<k)
-	} else {
-		c.pht = counter.NewArray(1<<k, 2, 1)
+func newCandidateGroup(lengths []int, numPCs int, indirect bool, k uint) *candidateGroup {
+	g := &candidateGroup{lengths: lengths, counts: make([]int64, numPCs*len(lengths))}
+	for range lengths {
+		if indirect {
+			g.regs = append(g.regs, make([]uint32, 1<<k))
+		} else {
+			g.pht = append(g.pht, make([]uint8, 1<<k))
+		}
 	}
-	return c
+	return g
 }
 
-// consume replays one hash block through the predictor. Blocks arrive
-// in trace order, which is all a private table depends on.
-func (c *candidatePred) consume(b *hashBlock) {
-	var hits int64
-	if c.pht != nil {
-		for r, id := range b.ids {
-			idx := int(b.lanes[r*b.stride+c.lane])
-			taken := b.vals[r] != 0
-			if c.pht.Taken(idx) == taken {
-				c.counts[id]++
-				hits++
+// consume replays one block through the group's predictors, computing
+// each index from the block's P segment. Blocks arrive in trace order,
+// which is all a private table depends on.
+func (g *candidateGroup) consume(b *pathBlock, k uint) {
+	mask := uint32(1<<k - 1)
+	w := len(g.lengths)
+	seg := b.seg
+	if g.regs != nil {
+		for _, r := range b.rows {
+			pn := seg[r.pos]
+			cnt := g.counts[int(r.id)*w:][:w]
+			for j, l := range g.lengths {
+				regs := g.regs[j]
+				idx := pathIndex(pn, seg[int(r.pos)-l], r.shift, mask)
+				hit := int64(0)
+				if regs[idx] == r.val {
+					hit = 1
+				}
+				cnt[j] += hit
+				regs[idx] = r.val
 			}
-			c.pht.Train(idx, taken)
 		}
-	} else {
-		for r, id := range b.ids {
-			idx := b.lanes[r*b.stride+c.lane]
-			if c.regs[idx] == b.vals[r] {
-				c.counts[id]++
-				hits++
-			}
-			c.regs[idx] = b.vals[r]
+		return
+	}
+	for _, r := range b.rows {
+		pn := seg[r.pos]
+		t := uint8(r.val)
+		cnt := g.counts[int(r.id)*w:][:w]
+		for j, l := range g.lengths {
+			pht := g.pht[j]
+			idx := pathIndex(pn, seg[int(r.pos)-l], r.shift, mask)
+			e := pht[idx]
+			cnt[j] += int64(1 ^ (e>>1 ^ t))
+			pht[idx] = condNext[(e<<1|t)&7]
 		}
 	}
-	c.correct += hits
 }
 
 // step1Counts runs the step-1 sweep over all candidate lengths with one
-// hash pass: each block is replayed through every candidate's predictor,
-// one worker-pool job per candidate. The returned matrix is
-// numPCs×len(lengths), row-major by dense id, with columns in candidate
-// order — bit-identical to a sequential per-length sweep, since each
-// candidate's predictor is private either way.
-func step1Counts(recs []trace.Record, recIDs []int32, numPCs int, indirect bool, k uint, n int, lengths []int) (counts, correct []int64, err error) {
-	h, err := newHasher(recs, recIDs, indirect, k, n, maxLength(lengths))
-	if err != nil {
-		return nil, nil, err
+// prefix-XOR pass: each block is replayed through every candidate's
+// predictor, one worker-pool job per group of groupSize candidates. The
+// returned matrix is numPCs×len(lengths), row-major by dense id, with
+// columns in candidate order — bit-identical to a sequential per-length
+// sweep, since each candidate's predictor is private either way.
+func step1Counts(recs []trace.Record, recIDs []int32, numPCs int, indirect bool, k uint, lengths []int) (counts, correct []int64, err error) {
+	var groups []*candidateGroup
+	for i := 0; i < len(lengths); i += groupSize {
+		groups = append(groups, newCandidateGroup(lengths[i:min(i+groupSize, len(lengths))], numPCs, indirect, k))
 	}
-	preds := make([]*candidatePred, len(lengths))
-	for i, l := range lengths {
-		preds[i] = newCandidatePred(l, numPCs, indirect, k)
-	}
+	h := newPathPass(recs, recIDs, indirect, k, maxLength(lengths))
 	for b := h.newBlock(); h.fill(b); {
-		err := pool.ForEach(context.Background(), len(preds), func(i int) error {
-			preds[i].consume(b)
+		err := pool.ForEach(context.Background(), len(groups), func(i int) error {
+			groups[i].consume(b, k)
 			return nil
 		})
 		if err != nil {
@@ -481,11 +560,14 @@ func step1Counts(recs []trace.Record, recIDs []int32, numPCs int, indirect bool,
 	w := len(lengths)
 	counts = make([]int64, numPCs*w)
 	correct = make([]int64, w)
-	for i, c := range preds {
-		for id, n := range c.counts {
-			counts[id*w+i] = n
+	for gi, g := range groups {
+		gw := len(g.lengths)
+		for id := 0; id < numPCs; id++ {
+			for j, n := range g.counts[id*gw : (id+1)*gw] {
+				counts[id*w+gi*groupSize+j] = n
+				correct[gi*groupSize+j] += n
+			}
 		}
-		correct[i] = c.correct
 	}
 	return counts, correct, nil
 }
@@ -501,7 +583,7 @@ func Step1(src trace.Source, cfg Config, indirect bool) (*Sweep, error) {
 	lengths := cfg.lengths()
 	recs := asRecords(src)
 	recIDs, pcs, scored := internPCs(recs, indirect)
-	counts, correct, err := step1Counts(recs, recIDs, len(pcs), indirect, cfg.TableBits, cfg.maxPath(), lengths)
+	counts, correct, err := step1Counts(recs, recIDs, len(pcs), indirect, cfg.TableBits, lengths)
 	if err != nil {
 		return nil, err
 	}
@@ -549,10 +631,7 @@ func Step2(src trace.Source, cfg Config, indirect bool, sw *Sweep) (*Profile, er
 		return nil, err
 	}
 	k, c := cfg.TableBits, sw.stride
-	stream, err := candidateStream(recs, recIDs, indirect, k, cfg.maxPath(), sw, scored)
-	if err != nil {
-		return nil, err
-	}
+	stream := candidateStream(recs, recIDs, indirect, k, sw, scored)
 
 	record := make([]int64, len(pcs)*c) // per branch, per candidate: fewest misses seen
 	chosen := make([]int, len(pcs))
@@ -574,26 +653,24 @@ func Step2(src trace.Source, cfg Config, indirect bool, sw *Sweep) (*Profile, er
 	return &Profile{Kind: kindOf(indirect), TableBits: k, Lengths: final, Default: sw.BestLength()}, nil
 }
 
-// candidateStream hashes the input once and returns, for each scored
-// record in trace order, the table indexes of its branch's candidate
-// lengths: row r's candidate c sits at stream[r*stride+c]. That is every
-// index any step-2 assignment can ask for, so the iterations replay
-// without hashing.
-func candidateStream(recs []trace.Record, recIDs []int32, indirect bool, k uint, n int, sw *Sweep, scored int64) ([]uint32, error) {
-	h, err := newHasher(recs, recIDs, indirect, k, n, maxLength(sw.cands))
-	if err != nil {
-		return nil, err
-	}
+// candidateStream runs the prefix-XOR pass once and returns, for each
+// scored record in trace order, the table indexes of its branch's
+// candidate lengths: row r's candidate c sits at stream[r*stride+c].
+// That is every index any step-2 assignment can ask for, so the
+// iterations replay without hashing.
+func candidateStream(recs []trace.Record, recIDs []int32, indirect bool, k uint, sw *Sweep, scored int64) []uint32 {
+	mask := uint32(1<<k - 1)
+	h := newPathPass(recs, recIDs, indirect, k, maxLength(sw.cands))
 	stream := make([]uint32, 0, int(scored)*sw.stride)
 	for b := h.newBlock(); h.fill(b); {
-		for r, id := range b.ids {
-			lanes := b.lanes[r*b.stride : (r+1)*b.stride]
-			for _, l := range sw.candidatesOf(int(id)) {
-				stream = append(stream, lanes[l-1])
+		for _, r := range b.rows {
+			pn := b.seg[r.pos]
+			for _, l := range sw.candidatesOf(int(r.id)) {
+				stream = append(stream, pathIndex(pn, b.seg[int(r.pos)-int(l)], r.shift, mask))
 			}
 		}
 	}
-	return stream, nil
+	return stream
 }
 
 // replayStream runs one shared-table VLP pass over the record slice and
@@ -624,19 +701,21 @@ func replayStream(recs []trace.Record, recIDs []int32, stream []uint32, c int, c
 			table[idx] = uint32(next)
 		}
 	} else {
-		pht := counter.NewArray(1<<k, 2, 1)
+		pht := make([]uint8, 1<<k) // stored as in condNext
 		for j := range recs {
 			id := recIDs[j]
 			if id < 0 {
 				continue
 			}
-			idx := int(stream[row+chosen[id]])
+			idx := stream[row+chosen[id]]
 			row += c
-			taken := recs[j].Taken
-			if pht.Taken(idx) != taken {
-				misses[id]++
+			t := uint8(0)
+			if recs[j].Taken {
+				t = 1
 			}
-			pht.Train(idx, taken)
+			e := pht[idx]
+			misses[id] += int64(e>>1 ^ t)
+			pht[idx] = condNext[(e<<1|t)&7]
 		}
 	}
 }

@@ -126,14 +126,6 @@ func (h *HashSet) Index(length int) uint32 {
 	return h.idx[length-1]
 }
 
-// AppendIndexes appends I_1..I_MaxNeeded to dst, in length order, and
-// returns the extended slice. Consumers that read every maintained
-// length at one point in the path (profiling's shared hash blocks) copy
-// the live bank in one call instead of calling Index once per length.
-func (h *HashSet) AppendIndexes(dst []uint32) []uint32 {
-	return append(dst, h.idx[:h.live]...)
-}
-
 // Target returns the depth-th most recent compressed target in the THB
 // (depth 0 is the most recent), or 0 if fewer targets have been inserted —
 // matching the zero-initialised hardware registers.

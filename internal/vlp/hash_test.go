@@ -78,40 +78,6 @@ func TestIncrementalMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestAppendIndexesMatchesDirect: the bulk accessor must append exactly
-// I_1..I_MaxNeeded, each equal to its from-scratch recomputation, after
-// any insertion sequence and for bounded as well as full banks.
-func TestAppendIndexesMatchesDirect(t *testing.T) {
-	f := func(seed uint64, kRaw, nRaw, mRaw uint8, steps uint8) bool {
-		k := uint(kRaw)%16 + 1 // 1..16
-		n := int(nRaw)%32 + 1  // 1..32
-		m := int(mRaw)%n + 1   // 1..n
-		h, err := NewHashSet(k, n)
-		if err != nil {
-			return false
-		}
-		h.SetMaxNeeded(m)
-		rng := xrand.New(seed)
-		prefix := []uint32{0xdead}
-		for s := 0; s < int(steps); s++ {
-			h.Insert(arch.Addr(rng.Uint64() & 0xfffffff))
-			got := h.AppendIndexes(prefix)
-			if len(got) != 1+m || got[0] != 0xdead {
-				return false
-			}
-			for l := 1; l <= m; l++ {
-				if got[l] != h.DirectIndex(l) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestIndexEncodesOrder(t *testing.T) {
 	// The same two targets inserted in opposite orders must generally
 	// produce different I_2 (the point of the rotation, §3.3).
